@@ -2,19 +2,45 @@
 
 A MatSubalgebra is a multiplicatively closed subspace of K^(n*n) (row-major
 flattening).  All operations are pure; saturation loops keep only local state
-and terminate because dimensions are bounded by n^2.
+and terminate because dimensions are bounded by n^2.  Structural facts are
+computed once per (immutable) object and kept in its `facts` (see `stored`).
 """
 
 from __future__ import annotations
 
+import functools
+
 from .errors import (
     ClosureViolation,
     DimensionMismatch,
+    InvalidInput,
     NotInAlgebra,
+    ResultCheckFailed,
     UnsupportedCharacteristic,
 )
 from .fields import Field
-from .linalg import Matrix, Subspace, commutator, matrix_invert, nullspace
+from .linalg import Matrix, Subspace, commutator, linear_combination, matrix_invert, nullspace
+
+
+def stored(compute):
+    """Make compute(x, *args) a fact of x: computed on first use, then read from x.facts.
+
+    The owner is immutable, so a fact never goes stale; it dies with its owner.
+    """
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def read(x, *args):
+        key = (name,) + args
+        if key not in x.facts:
+            x.facts[key] = compute(x, *args)
+        return x.facts[key]
+    return read
+
+
+def square_matrices(field: Field, n: int, space: Subspace) -> tuple:
+    """The echelon rows of a subspace of K^(n*n) as n x n matrices."""
+    return tuple(Matrix.from_vector(field, n, n, row) for row in space.rows)
 
 
 class MatSubalgebra:
@@ -24,18 +50,18 @@ class MatSubalgebra:
     is the canonical echelon form used for every equality and membership test.
     """
 
-    __slots__ = ("field", "n", "space", "unital", "basis")
+    __slots__ = ("field", "n", "space", "unital", "basis", "facts")
 
     def __init__(self, field: Field, n: int, space: Subspace, unital: bool,
                  basis: tuple | None = None):
-        assert space.ambient_dim == n * n
+        if space.ambient_dim != n * n:
+            raise DimensionMismatch(f"subspace of K^{space.ambient_dim} is not in M_{n}")
         self.field = field
         self.n = n
         self.space = space
         self.unital = unital
-        if basis is None:
-            basis = tuple(Matrix.from_vector(field, n, n, row) for row in space.rows)
-        self.basis = basis
+        self.facts = {}
+        self.basis = self.echelon_basis() if basis is None else basis
 
     @classmethod
     def from_matrices(cls, field: Field, n: int, mats, *, check: bool = True) -> "MatSubalgebra":
@@ -59,9 +85,9 @@ class MatSubalgebra:
     def dim(self) -> int:
         return self.space.dim
 
+    @stored
     def echelon_basis(self) -> tuple:
-        return tuple(Matrix.from_vector(self.field, self.n, self.n, row)
-                     for row in self.space.rows)
+        return square_matrices(self.field, self.n, self.space)
 
     def contains(self, m: Matrix) -> bool:
         if m.nrows != self.n or m.ncols != self.n or m.field != self.field:
@@ -91,12 +117,13 @@ class MatSubalgebra:
 class IdealSpace:
     """A two-sided ideal of a MatSubalgebra, stored as a subspace of K^(n*n)."""
 
-    __slots__ = ("parent", "space", "saturation_rounds")
+    __slots__ = ("parent", "space", "saturation_rounds", "facts")
 
     def __init__(self, parent: MatSubalgebra, space: Subspace, saturation_rounds: int = 0):
         self.parent = parent
         self.space = space
         self.saturation_rounds = saturation_rounds
+        self.facts = {}
 
     @property
     def dim(self) -> int:
@@ -105,9 +132,9 @@ class IdealSpace:
     def is_zero(self) -> bool:
         return self.space.is_zero()
 
+    @stored
     def matrices(self) -> tuple:
-        p = self.parent
-        return tuple(Matrix.from_vector(p.field, p.n, p.n, row) for row in self.space.rows)
+        return square_matrices(self.parent.field, self.parent.n, self.space)
 
     def __repr__(self) -> str:
         return f"IdealSpace(n={self.parent.n}, dim={self.dim})"
@@ -140,7 +167,7 @@ def unital_closure(field: Field, n: int, generators) -> MatSubalgebra:
     vectors = [Matrix.identity(field, n).entries] + [g.entries for g in gens]
     space = Subspace.span(field, n * n, vectors)
     while True:
-        basis = [Matrix.from_vector(field, n, n, row) for row in space.rows]
+        basis = square_matrices(field, n, space)
         products = [(a * b).entries for a in basis for b in basis]
         bigger = Subspace.span(field, n * n, list(space.rows) + products)
         if bigger.dim == space.dim:
@@ -169,66 +196,79 @@ def two_sided_ideal(parent: MatSubalgebra, seed) -> IdealSpace:
     basis = parent.echelon_basis()
     rounds = 0
     while True:
-        mats = [Matrix.from_vector(parent.field, parent.n, parent.n, row)
-                for row in space.rows]
-        products = []
-        for a in basis:
-            for x in mats:
-                products.append((a * x).entries)
-                products.append((x * a).entries)
+        mats = square_matrices(parent.field, parent.n, space)
+        products = [p.entries for b in basis for x in mats for p in (b * x, x * b)]
         bigger = Subspace.span(parent.field, parent.n ** 2, list(space.rows) + products)
         rounds += 1
         if bigger.dim == space.dim:
-            return IdealSpace(parent, space, rounds)
+            ideal = IdealSpace(parent, space, rounds)
+            # fact ideal_defect(ideal) is None: the last round found every product in the span
+            ideal.facts[("ideal_defect",)] = None
+            return ideal
         space = bigger
 
 
+@stored
+def ideal_defect(ideal: IdealSpace):
+    """Why the subspace is not a two-sided ideal of its parent algebra, or None."""
+    if not ideal.parent.space.contains(ideal.space):
+        return "is not contained in the algebra"
+    for b in ideal.parent.echelon_basis():
+        for x in ideal.matrices():
+            if not ideal.space.contains_vector((b * x).entries) or \
+               not ideal.space.contains_vector((x * b).entries):
+                return "is not closed under multiplication by the algebra"
+    return None
+
+
+@stored
+def commutators(a: MatSubalgebra) -> tuple:
+    """The nonzero commutators [x, y] of echelon basis elements x before y."""
+    basis = a.echelon_basis()
+    comms = (commutator(x, y) for i, x in enumerate(basis) for y in basis[i + 1:])
+    return tuple(c for c in comms if not c.is_zero())
+
+
+@stored
 def commutator_ideal(a: MatSubalgebra) -> IdealSpace:
     """Two-sided ideal generated by all commutators; basis pairs suffice by bilinearity."""
-    basis = a.echelon_basis()
-    seeds = []
-    for i, x in enumerate(basis):
-        for y in basis[i + 1:]:
-            c = commutator(x, y)
-            if not c.is_zero():
-                seeds.append(c)
-    return two_sided_ideal(a, seeds)
+    return two_sided_ideal(a, commutators(a))
+
+
+@stored
+def _ideal_powers(ideal: IdealSpace) -> tuple:
+    """(I, I^2, ..., I^m), products left to right, ending at a zero power or before a repeat.
+
+    The powers are weakly decreasing subspaces (ideals absorb), so one of the two
+    happens within n^2 steps, and then I^k = I^m for every k >= m.
+    """
+    field, n = _ambient_of(ideal)
+    base = ideal.matrices()
+    powers = [ideal.space]
+    while not powers[-1].is_zero():
+        mats = square_matrices(field, n, powers[-1])
+        nxt = Subspace.span(field, n * n, [(x * y).entries for x in mats for y in base])
+        if nxt == powers[-1]:
+            break
+        powers.append(nxt)
+    return tuple(powers)
 
 
 def ideal_power(ideal: IdealSpace, k: int) -> Subspace:
     """The subspace spanned by k-fold products of ideal elements (left to right)."""
-    assert k >= 1
-    space = ideal.space
-    field, n = _ambient_of(ideal)
-    base = ideal.matrices()
-    for _ in range(k - 1):
-        mats = [Matrix.from_vector(field, n, n, row) for row in space.rows]
-        space = Subspace.span(field, n * n, [(x * y).entries for x in mats for y in base])
-    return space
+    if k < 1:
+        raise InvalidInput("ideal powers start at k = 1")
+    powers = _ideal_powers(ideal)
+    return powers[min(k, len(powers)) - 1]
 
 
 def nilpotency_index(ideal: IdealSpace):
-    """Least q >= 1 with ideal^q = 0; None when the power sequence stabilizes nonzero.
-
-    The powers are weakly decreasing subspaces (ideals absorb), so either some
-    power vanishes or two consecutive powers coincide; both happen within n^2
-    steps.
-    """
-    field, n = _ambient_of(ideal)
-    space = ideal.space
-    base = ideal.matrices()
-    q = 1
-    while True:
-        if space.is_zero():
-            return q
-        mats = [Matrix.from_vector(field, n, n, row) for row in space.rows]
-        nxt = Subspace.span(field, n * n, [(x * y).entries for x in mats for y in base])
-        if nxt == space:
-            return None
-        space = nxt
-        q += 1
+    """Least q >= 1 with ideal^q = 0; None when the power sequence stabilizes nonzero."""
+    powers = _ideal_powers(ideal)
+    return len(powers) if powers[-1].is_zero() else None
 
 
+@stored
 def radical(a: MatSubalgebra) -> IdealSpace:
     """Jacobson radical via the trace bilinear form (valid in char 0 or p > n).
 
@@ -241,33 +281,16 @@ def radical(a: MatSubalgebra) -> IdealSpace:
         raise UnsupportedCharacteristic(
             f"trace-form radical needs characteristic 0 or p > n, got p={f.p}, n={a.n}")
     basis = a.echelon_basis()
-    d = len(basis)
-    gram = [[(basis[i] * basis[j]).trace() for j in range(d)] for i in range(d)]
-    coeff_vectors = nullspace(f, gram, d)
-    n = a.n
-    rad_vectors = []
-    for coeffs in coeff_vectors:
-        acc = [f.zero] * (n * n)
-        for c, b in zip(coeffs, basis):
-            if c != f.zero:
-                acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, b.entries)]
-        rad_vectors.append(tuple(acc))
-    space = Subspace.span(f, n * n, rad_vectors)
-    ideal = IdealSpace(a, space)
-    _verify_radical(a, ideal)
-    return ideal
-
-
-def _verify_radical(a: MatSubalgebra, ideal: IdealSpace):
-    for x in ideal.matrices():
-        if not a.contains(x):
-            raise ArithmeticError("radical candidate leaves the algebra")
-        for b in a.echelon_basis():
-            if not ideal.space.contains_vector((b * x).entries) or \
-               not ideal.space.contains_vector((x * b).entries):
-                raise ArithmeticError("radical candidate is not a two-sided ideal")
+    gram = [[(x * y).trace() for y in basis] for x in basis]
+    entries = [b.entries for b in basis]
+    rad_vectors = [linear_combination(f, c, entries) for c in nullspace(f, gram, a.dim)]
+    ideal = IdealSpace(a, Subspace.span(f, a.n ** 2, rad_vectors))
+    defect = ideal_defect(ideal)
+    if defect is not None:
+        raise ResultCheckFailed(f"radical candidate {defect}")
     if nilpotency_index(ideal) is None:
-        raise ArithmeticError("radical candidate is not nilpotent")
+        raise ResultCheckFailed("radical candidate is not nilpotent")
+    return ideal
 
 
 def centralizer(a: MatSubalgebra) -> MatSubalgebra:
@@ -305,7 +328,8 @@ def conjugate_algebra(a: MatSubalgebra, x: Matrix) -> MatSubalgebra:
     xinv = matrix_invert(x)
     conj_basis = tuple(xinv * b * x for b in a.basis)
     space = Subspace.span(a.field, a.n ** 2, [m.entries for m in conj_basis])
-    assert space.dim == a.dim
+    if space.dim != a.dim:
+        raise ResultCheckFailed("conjugation changed the dimension of the algebra")
     return MatSubalgebra(a.field, a.n, space, unital=a.unital, basis=conj_basis)
 
 
@@ -317,9 +341,4 @@ def conjugate_ideal(ideal: IdealSpace, x: Matrix, new_parent: MatSubalgebra) -> 
 
 
 def is_commutative(a: MatSubalgebra) -> bool:
-    basis = a.echelon_basis()
-    for i, x in enumerate(basis):
-        for y in basis[i + 1:]:
-            if x * y != y * x:
-                return False
-    return True
+    return not commutators(a)

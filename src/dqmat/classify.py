@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 
 from .algebra import (
+    IdealSpace,
     MatSubalgebra,
     commutator_ideal,
     conjugate_algebra,
@@ -22,6 +23,7 @@ from .algebra import (
     is_commutative,
     product_space,
     radical,
+    stored,
 )
 from .blocks import BlockType, is_block_upper
 from .constructions import CanonicalBlockId, admissible_k, canonical_commutative
@@ -33,7 +35,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field
-from .linalg import Matrix, Subspace, matrix_invert, nullspace
+from .linalg import Matrix, Subspace, column_space, linear_combination, matrix_invert, nullspace
 from .structure import (
     block_triangulate,
     detect_type,
@@ -207,19 +209,11 @@ def count_iso_classes(n: int, q: int) -> int:
 
 # -- invariants of commutative blocks ----------------------------------------------
 
-def column_space(field: Field, n: int, mats) -> Subspace:
-    """Span in K^n of all columns of the given n x n matrices."""
-    cols = []
-    for m in mats:
-        for j in range(n):
-            cols.append(tuple(m[i, j] for i in range(n)))
-    return Subspace.span(field, n, cols)
-
-
+@stored
 def _block_invariants(a: MatSubalgebra):
     rad = radical(a)
     t = a.dim - rad.dim
-    d2 = product_space(rad, rad).dim if not rad.is_zero() else 0
+    d2 = product_space(rad, rad).dim
     v = column_space(a.field, a.n, rad.matrices()).dim
     return rad, t, d2, v
 
@@ -344,7 +338,7 @@ def _roots_in_field(field: Field, coeffs) -> list:
         return sorted(roots)
     denom_lcm = 1
     for c in work:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
     ints = [int(c * denom_lcm) for c in work]
     for p in _divisors(ints[0]):
         for qd in _divisors(ints[-1]):
@@ -352,12 +346,6 @@ def _roots_in_field(field: Field, coeffs) -> list:
                 if _poly_eval(field, coeffs, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _scalar_sort_key(field: Field, x):
@@ -431,14 +419,7 @@ def _atomic_decomposition(a: MatSubalgebra, ambient_basis: list) -> list:
         return [(ambient_basis, restricted)]
     out = []
     for sub in split:
-        sub_ambient = []
-        for w in sub.rows:
-            acc = [restricted.field.zero] * len(ambient_basis[0])
-            for coeff, amb in zip(w, ambient_basis):
-                if coeff != restricted.field.zero:
-                    acc = [restricted.field.add(x, restricted.field.mul(coeff, y))
-                           for x, y in zip(acc, amb)]
-            sub_ambient.append(tuple(acc))
+        sub_ambient = [linear_combination(a.field, w, ambient_basis) for w in sub.rows]
         out.extend(_atomic_decomposition(_restrict_to_invariant(restricted, sub), sub_ambient))
     return out
 
@@ -449,10 +430,9 @@ def _canonicalize_local(a: MatSubalgebra) -> Matrix:
     f, n = a.field, a.n
     if n == 1:
         return Matrix.identity(f, 1)
-    rad = radical(a)
+    rad, _, d2, _ = _block_invariants(a)
     if rad.is_zero():
         raise NotCanonical("local block of size > 1 with zero radical")
-    d2 = product_space(rad, rad).dim
     if d2 == 0:
         tri = block_triangulate(a, rad)
         return tri.conjugator
@@ -485,8 +465,7 @@ def canonical_block_conjugator(a: MatSubalgebra):
     """
     bid = recognize_block(a)
     f, n = a.field, a.n
-    rad = radical(a)
-    t = a.dim - rad.dim
+    _, t, _, _ = _block_invariants(a)
     if t == 1:
         z = _canonicalize_local(a)
     else:
@@ -563,20 +542,12 @@ def iso_invariants(a: MatSubalgebra) -> IsoInvariantVector:
     rad = radical(a)
     comm = commutator_ideal(a)
     q = min_dq(a)
-    jc = product_space(rad, comm).dim if not (rad.is_zero() or comm.is_zero()) else 0
-    cj = product_space(comm, rad).dim if not (rad.is_zero() or comm.is_zero()) else 0
     if q is None:
         power_j = None
     elif q == 1:
         power_j = rad.dim
     else:
-        power = ideal_power(comm, q - 1)
-        if power.is_zero() or rad.is_zero():
-            power_j = 0
-        else:
-            power_mats = [Matrix.from_vector(a.field, a.n, a.n, row) for row in power.rows]
-            prods = [(x * y).entries for x in power_mats for y in rad.matrices()]
-            power_j = Subspace.span(a.field, a.n ** 2, prods).dim
+        power_j = product_space(IdealSpace(a, ideal_power(comm, q - 1)), rad).dim
 
     bt = detect_type(a)
     block_ids = None
@@ -593,8 +564,8 @@ def iso_invariants(a: MatSubalgebra) -> IsoInvariantVector:
         block_ids=block_ids,
         dim_radical=rad.dim,
         dim_commutator=comm.dim,
-        dim_radical_commutator=jc,
-        dim_commutator_radical=cj,
+        dim_radical_commutator=product_space(rad, comm).dim,
+        dim_commutator_radical=product_space(comm, rad).dim,
         dim_commutator_power_radical=power_j,
     )
 

@@ -57,7 +57,7 @@ def _load_algebra(path: str):
         raise _ParseFailure(f"cannot read algebra document {path!r}: {exc}") from exc
     try:
         return document_to_algebra(doc)
-    except InvalidInput as exc:
+    except (InvalidInput, ValueError, TypeError) as exc:
         raise _ParseFailure(f"bad algebra document {path!r}: {exc}") from exc
 
 
@@ -68,7 +68,7 @@ def _load_matrix(path: str):
         raise _ParseFailure(f"cannot read matrix document {path!r}: {exc}") from exc
     try:
         return document_to_matrix(doc)
-    except InvalidInput as exc:
+    except (InvalidInput, ValueError, TypeError) as exc:
         raise _ParseFailure(f"bad matrix document {path!r}: {exc}") from exc
 
 
@@ -82,7 +82,10 @@ def _emit(doc: dict, out_path: str | None):
 
 
 def _default_budget() -> int:
-    return int(os.environ.get("DQMAT_BRUTE_BUDGET", DEFAULT_BRUTE_BUDGET))
+    try:
+        return int(os.environ.get("DQMAT_BRUTE_BUDGET", DEFAULT_BRUTE_BUDGET))
+    except ValueError as exc:
+        raise _ParseFailure(f"bad DQMAT_BRUTE_BUDGET: {exc}") from exc
 
 
 def _cmd_construct(args) -> dict:

@@ -65,3 +65,7 @@ class NotCanonical(DqmatError):
 
 class ClosureViolation(DqmatError):
     code = "closure-violation"
+
+
+class ResultCheckFailed(DqmatError):
+    code = "result-check-failed"

@@ -229,6 +229,13 @@ def matrix_invert(m: Matrix) -> Matrix:
     return Matrix(f, n, n, flat)
 
 
+def linear_combination(field: Field, coeffs, vectors) -> tuple:
+    """sum_i coeffs[i] * vectors[i] for equal-length vectors."""
+    terms = [(c, v) for c, v in zip(coeffs, vectors) if c != field.zero]
+    return tuple(field.reduce(sum((c * v[k] for c, v in terms), field.zero))
+                 for k in range(len(vectors[0])))
+
+
 def nullspace(field: Field, rows, ncols: int) -> list:
     """Canonical basis of {v : A v = 0} for A given as an iterable of rows."""
     work = [list(r) for r in rows]
@@ -348,8 +355,10 @@ class Subspace:
         inter = [row[m:] for row in work if all(x == zero for x in row[:m])]
         return Subspace.span(self.field, m, inter)
 
-    __add__ = sum
-    __and__ = intersect
+
+def column_space(field: Field, n: int, mats) -> Subspace:
+    """Span in K^n of all columns of the given n x n matrices."""
+    return Subspace.span(field, n, [m.entries[j::n] for m in mats for j in range(n)])
 
 
 def subspace_span(field: Field, ambient_dim: int, vectors) -> Subspace:

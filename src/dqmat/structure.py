@@ -16,13 +16,17 @@ from dataclasses import dataclass
 from .algebra import (
     IdealSpace,
     MatSubalgebra,
-    commutator,
     commutator_ideal,
+    commutators,
     conjugate_algebra,
     conjugate_ideal,
     centralizer,
+    ideal_defect,
+    ideal_power,
     is_commutative,
     nilpotency_index,
+    square_matrices,
+    stored,
 )
 from .blocks import BlockType, diagonal_blocks_vanish, embed_block, is_block_upper, submatrix
 from .errors import (
@@ -30,14 +34,15 @@ from .errors import (
     InvalidInput,
     NotAnIdeal,
     NotNilpotent,
+    ResultCheckFailed,
     ZeroIdeal,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, column_space
 
 DEFAULT_BRUTE_BUDGET = 10 ** 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriangulationResult:
     """Outcome of a block triangulation along a nilpotent ideal.
 
@@ -53,6 +58,7 @@ class TriangulationResult:
     filtration_dims: tuple
 
 
+@stored
 def min_dq(a: MatSubalgebra):
     """Minimal q for which a satisfies the q-fold commutator-product identity.
 
@@ -76,14 +82,8 @@ def check_dq_bruteforce(a: MatSubalgebra, q: int, budget: int = DEFAULT_BRUTE_BU
     d = a.dim
     if d ** (2 * q) > budget:
         raise BudgetExceeded(f"{d}^{2 * q} tuple evaluations exceed the budget {budget}")
-    basis = a.echelon_basis()
-    comms = set()
-    for i, x in enumerate(basis):
-        for y in basis[i + 1:]:
-            c = commutator(x, y)
-            if not c.is_zero():
-                # [y, x] = -[x, y]; sign never affects whether a product vanishes
-                comms.add(c)
+    # pairs x before y suffice: [y, x] = -[x, y] vanishes in a product whenever [x, y] does
+    comms = set(commutators(a))
     level = list(comms)
     if q == 1 or not level:
         return not level
@@ -100,48 +100,37 @@ def check_dq_bruteforce(a: MatSubalgebra, q: int, budget: int = DEFAULT_BRUTE_BU
     return not level
 
 
-def _validate_ideal(a: MatSubalgebra, ideal: IdealSpace):
-    if ideal.space.ambient_dim != a.n ** 2 or ideal.parent.field != a.field:
-        raise NotAnIdeal("ideal lives in a different matrix algebra")
-    if not a.space.contains(ideal.space):
-        raise NotAnIdeal("ideal is not contained in the algebra")
-    mats = ideal.matrices()
-    for b in a.echelon_basis():
-        for x in mats:
-            if not ideal.space.contains_vector((b * x).entries) or \
-               not ideal.space.contains_vector((x * b).entries):
-                raise NotAnIdeal("subspace is not closed under multiplication by the algebra")
-
-
-def _column_space_power_filtration(a: MatSubalgebra, ideal: IdealSpace, q: int) -> list:
-    """[I^(q-1)V, ..., IV, V] as subspaces of K^n, smallest first."""
-    field, n = a.field, a.n
-    mats = ideal.matrices()
-    spaces = [Subspace.full(field, n)]
-    for _ in range(q - 1):
-        prev = spaces[-1]
-        images = [m.apply(v) for m in mats for v in prev.rows]
-        spaces.append(Subspace.span(field, n, images))
-    spaces.reverse()
-    return spaces
-
-
 def block_triangulate(a: MatSubalgebra, ideal: IdealSpace) -> TriangulationResult:
     """Conjugate a into block upper triangular form along a nilpotent ideal.
 
     The block sizes are the dimension jumps of the filtration I^(q-i)V; the
     adapted basis is extended deterministically, drawing candidates first from
     the echelon basis of each filtration space and then from the standard
-    basis vectors in index order.
+    basis vectors in index order.  The result is a fact of the ideal when a is
+    its parent; an ideal of another parent is first checked in full against a.
     """
+    if ideal.space.ambient_dim != a.n ** 2 or ideal.parent.field != a.field:
+        raise NotAnIdeal("ideal lives in a different matrix algebra")
+    if ideal.parent is not a:
+        ideal = IdealSpace(a, ideal.space)
+    return _triangulation(ideal)
+
+
+@stored
+def _triangulation(ideal: IdealSpace) -> TriangulationResult:
+    a = ideal.parent
     field, n = a.field, a.n
     if ideal.is_zero():
         raise ZeroIdeal("triangulation needs a nonzero nilpotent ideal")
-    _validate_ideal(a, ideal)
+    defect = ideal_defect(ideal)
+    if defect is not None:
+        raise NotAnIdeal(f"subspace {defect}")
     q = nilpotency_index(ideal)
     if q is None:
         raise NotNilpotent("ideal powers stabilize at a nonzero subspace")
-    filtration = _column_space_power_filtration(a, ideal, q)
+    # I^(q-1)V < ... < IV < V, where I^k V is the column space of I^k
+    filtration = [column_space(field, n, square_matrices(field, n, ideal_power(ideal, k)))
+                  for k in range(q - 1, 0, -1)] + [Subspace.full(field, n)]
     dims = tuple(s.dim for s in filtration)
     parts = tuple(d - prev for d, prev in zip(dims, (0,) + dims[:-1]))
     bt = BlockType(parts)
@@ -156,17 +145,17 @@ def block_triangulate(a: MatSubalgebra, ideal: IdealSpace) -> TriangulationResul
             if space.contains_vector(candidate) and not chosen_space.contains_vector(candidate):
                 chosen.append(candidate)
                 chosen_space = Subspace.span(field, n, chosen)
-        assert chosen_space.dim == space.dim
-    assert len(chosen) == n
+        if chosen_space.dim != space.dim:
+            raise ResultCheckFailed("adapted basis does not fill the filtration")
 
     # adapted basis vectors become the columns of the conjugator
     x = Matrix(field, n, n, tuple(chosen[j][i] for i in range(n) for j in range(n)))
     conj = conjugate_algebra(a, x)
     conj_ideal = conjugate_ideal(ideal, x, conj)
-    for m in conj.echelon_basis():
-        assert is_block_upper(m, bt)
-    for m in conj_ideal.matrices():
-        assert is_block_upper(m, bt) and diagonal_blocks_vanish(m, bt)
+    if not all(is_block_upper(m, bt) for m in conj.echelon_basis()) or \
+       not all(is_block_upper(m, bt) and diagonal_blocks_vanish(m, bt)
+               for m in conj_ideal.matrices()):
+        raise ResultCheckFailed("conjugated algebra or ideal is not block triangular")
     return TriangulationResult(x, bt, conj, conj_ideal, dims)
 
 
@@ -182,11 +171,7 @@ def detect_type(a: MatSubalgebra):
         return None
     if q == 1:
         return BlockType((a.n,))
-    ideal = commutator_ideal(a)
-    filtration = _column_space_power_filtration(a, ideal, q)
-    dims = [s.dim for s in filtration]
-    parts = tuple(d - prev for d, prev in zip(dims, [0] + dims[:-1]))
-    return BlockType(parts)
+    return block_triangulate(a, commutator_ideal(a)).block_type
 
 
 def diagonal_block_algebras(conj: MatSubalgebra, bt: BlockType) -> list:
@@ -195,12 +180,17 @@ def diagonal_block_algebras(conj: MatSubalgebra, bt: BlockType) -> list:
     Projection onto a diagonal block is an algebra homomorphism on block
     triangular matrices, so each image is a unital subalgebra of M_{n_i}.
     """
+    return list(_diagonal_blocks(conj, bt))
+
+
+@stored
+def _diagonal_blocks(conj: MatSubalgebra, bt: BlockType) -> tuple:
     out = []
     for i in range(bt.q):
         mats = [submatrix(m, bt, i, i) for m in conj.echelon_basis()]
         space = Subspace.span(conj.field, bt.parts[i] ** 2, [m.entries for m in mats])
         out.append(MatSubalgebra(conj.field, bt.parts[i], space, unital=True))
-    return out
+    return tuple(out)
 
 
 def strip_structure_matches(conj: MatSubalgebra, bt: BlockType, blocks: list) -> bool:
@@ -249,8 +239,12 @@ def is_maximal_dq(a: MatSubalgebra, q=None):
         return False, None, False
     if q < 2:
         raise InvalidInput("maximality test needs a noncommutative algebra (q >= 2)")
-    ideal = commutator_ideal(a)
-    tri = block_triangulate(a, ideal)
+    return _maximality(a)
+
+
+@stored
+def _maximality(a: MatSubalgebra):
+    tri = block_triangulate(a, commutator_ideal(a))
     blocks = diagonal_block_algebras(tri.conjugated, tri.block_type)
     if not strip_structure_matches(tri.conjugated, tri.block_type, blocks):
         return False, tri, False

@@ -17,7 +17,12 @@ from dqmat.algebra import (
     two_sided_ideal,
     unital_closure,
 )
-from dqmat.errors import ClosureViolation, NotInAlgebra, UnsupportedCharacteristic
+from dqmat.errors import (
+    ClosureViolation,
+    DimensionMismatch,
+    NotInAlgebra,
+    UnsupportedCharacteristic,
+)
 from dqmat.fields import GF, QQ
 from dqmat.linalg import Matrix, Subspace
 
@@ -63,6 +68,12 @@ def test_unital_closure_two_units():
 def test_closure_check_rejects_open_span():
     with pytest.raises(ClosureViolation):
         MatSubalgebra.from_matrices(QQ, 3, [Matrix.identity(QQ, 3), e(1, 2, 3), e(2, 3, 3)])
+
+
+def test_wrong_shape_space_is_rejected():
+    # K^4 holds M_2, not M_3; the check must survive python -O
+    with pytest.raises(DimensionMismatch):
+        MatSubalgebra(QQ, 3, Subspace.full(QQ, 4), unital=True)
 
 
 def test_product_space_square_zero():

@@ -207,6 +207,21 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, n, env", [
+    ({"kind": "rational"}, 1, "abc"),
+    ({"kind": "rational"}, "x", None),
+    ({"kind": "prime", "p": "abc"}, 1, None),
+])
+def test_cli_bad_values_are_parse_errors(tmp_path, capsys, monkeypatch, field, n, env):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"field": field, "n": n, "basis": [[["1"]]]}))
+    if env is not None:
+        monkeypatch.setenv("DQMAT_BRUTE_BUDGET", env)
+    code, doc = run_cli(capsys, "verify", str(path), "--q", "2", "--brute-force")
+    assert code == 2
+    assert doc["error"]["code"] == "parse-error"
+
+
 def test_cli_closure_violation_is_domain_error(tmp_path, capsys):
     doc = {
         "field": {"kind": "rational"},
