@@ -32,6 +32,7 @@ from .errors import (
     InvalidQ,
     NotBlockTypeMaxDim,
     NotCanonical,
+    ResultCheckFailed,
     ShapeMismatch,
 )
 from .fields import Field
@@ -327,12 +328,12 @@ def _roots_in_field(field: Field, coeffs) -> list:
         if rn * rn != num or rd * rd != den:
             return []
         root = Fraction(rn, rd)
-        return sorted({(-c1 + root) / 2, (-c1 - root) / 2})
+        return sorted({field.div(field.sub(r, c1), 2) for r in (root, -root)})
     # degree 3: peel off rational roots via the rational root theorem
     roots = set()
     work = list(coeffs)
     if work[0] == 0:
-        roots.add(Fraction(0))
+        roots.add(field.zero)
         work = work[1:]  # divide by lambda
         roots.update(_roots_in_field(field, work))
         return sorted(roots)
@@ -342,7 +343,7 @@ def _roots_in_field(field: Field, coeffs) -> list:
     ints = [int(c * denom_lcm) for c in work]
     for p in _divisors(ints[0]):
         for qd in _divisors(ints[-1]):
-            for cand in (Fraction(p, qd), Fraction(-p, qd)):
+            for cand in (field.of(Fraction(p, qd)), field.of(Fraction(-p, qd))):
                 if _poly_eval(field, coeffs, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
@@ -398,10 +399,9 @@ def _restrict_to_invariant(a: MatSubalgebra, sub: Subspace) -> MatSubalgebra:
         cols = []
         for w in sub.rows:
             image = b.apply(w)
-            coords = [image[pc] for pc in sub.pivots]
-            residual = sub.reduce_vector(image)
-            assert all(x == f.zero for x in residual), "subspace is not invariant"
-            cols.append(coords)
+            if not sub.contains_vector(image):
+                raise ResultCheckFailed("split subspace is not invariant under the algebra")
+            cols.append([image[pc] for pc in sub.pivots])
         mats.append(Matrix(f, k, k, tuple(cols[j][i] for i in range(k) for j in range(k))))
     space = Subspace.span(f, k * k, [m.entries for m in mats])
     return MatSubalgebra(f, k, space, unital=True)

@@ -88,21 +88,31 @@ def _default_budget() -> int:
         raise _ParseFailure(f"bad DQMAT_BRUTE_BUDGET: {exc}") from exc
 
 
+def _int_token(option: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise _ParseFailure(f"bad {option} entry {token!r}: not an integer") from exc
+
+
 def _cmd_construct(args) -> dict:
-    field = parse_field_text(args.field)
+    try:
+        field = parse_field_text(args.field)
+    except ValueError as exc:
+        raise _ParseFailure(f"bad --field {args.field!r}: {exc}") from exc
     if args.example:
         a = named_example(field, args.example)
         return algebra_to_document(a, name=args.example)
     if not args.type or not args.blocks:
         raise InvalidInput("construct needs --type and --blocks (or --example)")
-    parts = tuple(int(x) for x in args.type.split(","))
+    parts = tuple(_int_token("--type", x) for x in args.type.split(","))
     tokens = args.blocks.split(",")
     if len(tokens) != len(parts):
         raise InvalidInput(f"{len(parts)} blocks expected, got {len(tokens)}")
     blocks = []
     for part, token in zip(parts, tokens):
         if token.strip().lstrip("-").isdigit():
-            blocks.append(canonical_commutative(field, (part, int(token))))
+            blocks.append(canonical_commutative(field, (part, _int_token("--blocks", token))))
         else:
             block = _load_algebra(token.strip())
             if block.n != part or block.field != field:

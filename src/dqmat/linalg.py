@@ -9,6 +9,9 @@ the whole package.
 
 from __future__ import annotations
 
+from math import gcd
+from operator import mul
+
 from .errors import DimensionMismatch, Singular
 from .fields import Field
 
@@ -19,7 +22,8 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: Field, nrows: int, ncols: int, entries: tuple):
-        assert nrows > 0 and ncols > 0 and len(entries) == nrows * ncols
+        if nrows < 1 or ncols < 1 or len(entries) != nrows * ncols:
+            raise DimensionMismatch(f"{len(entries)} entries for a {nrows}x{ncols} matrix")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -125,16 +129,15 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         n, m, l = self.nrows, self.ncols, other.ncols
-        a, b = self.entries, other.entries
-        # lazy modular reduction: accumulate with exact int/Fraction sums, reduce once
-        reduce = self.field.reduce
+        f = self.field
+        # inner products of integer numerators; one scalar (reduced mod p, or
+        # over the common denominator) per output entry
+        a, da = f.numerators(self.entries)
+        b, db = f.numerators(other.entries)
+        rows = [a[i * m : (i + 1) * m] for i in range(n)]
         cols = [b[j::l] for j in range(l)]
-        out = []
-        for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            for col in cols:
-                out.append(reduce(sum(x * y for x, y in zip(arow, col))))
-        return Matrix(self.field, n, l, tuple(out))
+        sums = [sum(map(mul, arow, col)) for arow in rows for col in cols]
+        return Matrix(f, n, l, tuple(f.quotients(sums, da * db)))
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product, vec a length-ncols sequence."""
@@ -164,43 +167,63 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 
 
+def _primitive(row):
+    """An integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def rref_in_place(field: Field, rows: list) -> list:
     """Reduce a list of row lists to reduced echelon form; returns pivot columns.
 
     Zero rows are removed, pivots are normalized to 1 and their columns cleared,
     so the surviving rows are the unique canonical basis of the row space.
+    Over Q the elimination is fraction-free, as in Bareiss (1968), but keeps its
+    integers small by content removal: rows are primitive integer vectors, a
+    row update pv*x - f*y is divided by the gcd of its entries, and each row is
+    divided by its pivot once, at the end.  Over GF(p) each pivot row is scaled
+    by the inverse of its pivot.
     """
     if not rows:
         return []
+    p = field.p
+    if p is None:
+        rows[:] = [_primitive(field.numerators(row)[0]) for row in rows]
     ncols = len(rows[0])
-    zero = field.zero
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != zero:
-                pr = i
-                break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one:
-            mul = field.mul
-            rows[r] = [mul(inv, x) for x in rows[r]]
         prow = rows[r]
-        reduce = field.reduce
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f != zero:
-                ri = rows[i]
-                rows[i] = [reduce(x - f * y) for x, y in zip(ri, prow)]
+        pv = prow[c]
+        if p is not None and pv != 1:
+            inv = pow(pv, p - 2, p)
+            prow = rows[r] = [inv * x % p for x in prow]
+        for i, ri in enumerate(rows):
+            f = ri[c]
+            if not f or i == r:
+                continue
+            if p is None:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                rows[i] = _primitive([s * x - t * y for x, y in zip(ri, prow)])
+            else:
+                rows[i] = [(x - f * y) % p for x, y in zip(ri, prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     del rows[r:]
+    if p is None:
+        for i, c in enumerate(pivots):
+            row = rows[i]
+            pv = row[c]
+            if pv < 0:
+                row, pv = [-x for x in row], -pv
+            rows[i] = field.quotients(row, pv)
     return pivots
 
 
@@ -316,22 +339,30 @@ class Subspace:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces live in different ambient spaces")
 
-    def reduce_vector(self, vec) -> list:
-        """Residual of vec after elimination against the echelon basis."""
+    def contains_vector(self, vec) -> bool:
+        """Whether vec lies in the subspace: its residual against the echelon basis is zero.
+
+        The residual is carried as integer numerators over a denominator d that
+        the zero test never needs, so it is not kept.
+        """
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        v = list(vec)
-        zero = self.field.zero
-        reduce = self.field.reduce
+        f = self.field
+        p = f.p
+        v, _ = f.numerators(vec)
         for row, pc in zip(self.rows, self.pivots):
-            f = v[pc]
-            if f != zero:
-                v = [reduce(x - f * y) for x, y in zip(v, row)]
-        return v
-
-    def contains_vector(self, vec) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.reduce_vector(vec))
+            x = v[pc]
+            if not x:
+                continue
+            if p is None:
+                # v/d - (x/d) * (r/dr), where r[pc] = dr, is (s*v - t*r) / (d*s)
+                r, dr = f.numerators(row)
+                g = gcd(x, dr)
+                s, t = dr // g, x // g
+                v = [s * a - t * b for a, b in zip(v, r)]
+            else:
+                v = [(a - x * b) % p for a, b in zip(v, row)]
+        return not any(v)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)

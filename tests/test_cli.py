@@ -207,17 +207,26 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("field, n, env", [
-    ({"kind": "rational"}, 1, "abc"),
-    ({"kind": "rational"}, "x", None),
-    ({"kind": "prime", "p": "abc"}, 1, None),
+VERIFY_DOC = ("verify", "{doc}", "--q", "2", "--brute-force")
+
+
+@pytest.mark.parametrize("field, n, env, argv", [
+    pytest.param({"kind": "rational"}, 1, "abc", VERIFY_DOC, id="field0-1-abc"),
+    pytest.param({"kind": "rational"}, "x", None, VERIFY_DOC, id="field1-x-None"),
+    pytest.param({"kind": "prime", "p": "abc"}, 1, None, VERIFY_DOC, id="field2-1-None"),
+    pytest.param(None, None, None, ("construct", "--type", "a,b", "--blocks", "1,1"),
+                 id="construct-type-a,b"),
+    pytest.param(None, None, None, ("construct", "--type", "1,1", "--blocks", "1,--1"),
+                 id="construct-blocks-1,--1"),
+    pytest.param(None, None, None, ("construct", "--field", "prime:abc", "--type", "1",
+                                    "--blocks", "1"), id="construct-field-prime:abc"),
 ])
-def test_cli_bad_values_are_parse_errors(tmp_path, capsys, monkeypatch, field, n, env):
+def test_cli_bad_values_are_parse_errors(tmp_path, capsys, monkeypatch, field, n, env, argv):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"field": field, "n": n, "basis": [[["1"]]]}))
     if env is not None:
         monkeypatch.setenv("DQMAT_BRUTE_BUDGET", env)
-    code, doc = run_cli(capsys, "verify", str(path), "--q", "2", "--brute-force")
+    code, doc = run_cli(capsys, *(arg.format(doc=path) for arg in argv))
     assert code == 2
     assert doc["error"]["code"] == "parse-error"
 

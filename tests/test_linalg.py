@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from dqmat.errors import DimensionMismatch, Singular
-from dqmat.fields import GF, QQ
+from dqmat.errors import DimensionMismatch, InvalidInput, Singular
+from dqmat.fields import GF, QQ, Field
 from dqmat.linalg import Matrix, Subspace, matrix_invert, matrix_rref
 
 from helpers import rank_oracle
@@ -86,6 +86,13 @@ def test_invert_roundtrip_random():
             inv = matrix_invert(m)
             assert inv * m == Matrix.identity(field, n)
             assert m * inv == Matrix.identity(field, n)
+
+
+def test_matrix_shape_is_checked():
+    with pytest.raises(DimensionMismatch):
+        Matrix(QQ, 2, 2, (1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        Matrix(QQ, 0, 1, ())
 
 
 def test_span_empty():
@@ -176,3 +183,11 @@ def test_scalar_text_forms():
     assert QQ.format(QQ.of(5)) == "5"
     assert GF(7).parse("12") == 5
     assert GF(7).format(GF(7).of(-1)) == "6"
+
+
+def test_prime_moduli():
+    assert Field(2 ** 61 - 1).p == 2 ** 61 - 1
+    with pytest.raises(InvalidInput):
+        Field(561)  # Carmichael number: a Fermat test with base 2 would pass it
+    with pytest.raises(InvalidInput):
+        Field(2 ** 89 - 1)  # prime, but above the bound of the proven Miller-Rabin bases
