@@ -50,8 +50,6 @@ from .linalg import (
     commutator,
     matrix_invert,
     matrix_rref,
-    subspace_relate,
-    subspace_span,
 )
 from .structure import (
     TriangulationResult,

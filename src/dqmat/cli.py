@@ -3,7 +3,8 @@
 Results are JSON on stdout.  Exit status 0 on success, 1 on a domain error
 (with a machine-readable error object), 2 on I/O or parse errors.  The
 brute-force budget can be overridden with --budget or the DQMAT_BRUTE_BUDGET
-environment variable.
+environment variable; the same budget bounds the tuples `enumerate --ordered`
+expands.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .constructions import (
     canonical_commutative,
     named_example,
 )
-from .errors import DqmatError, InvalidInput, UnsupportedCharacteristic
+from .errors import BudgetExceeded, DqmatError, InvalidInput, UnsupportedCharacteristic
 from .serialize import (
     algebra_to_document,
     document_to_algebra,
@@ -196,6 +197,10 @@ def _cmd_enumerate(args) -> dict:
         "ordered_counts": list(enum.ordered_counts),
     }
     if args.ordered:
+        budget = _default_budget()
+        if sum(enum.ordered_counts) > budget:
+            raise BudgetExceeded(
+                f"{sum(enum.ordered_counts)} ordered tuples exceed the budget {budget}")
         doc["ordered_tuples"] = [list(t) for t in enum.ordered_tuples()]
     if args.count_classes:
         doc["classes"] = count_iso_classes(args.n, args.q)
@@ -264,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="maximum-dimension types for (n, q)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ordered", action="store_true", help="expand ordered tuples")
+    p.add_argument("--ordered", action="store_true",
+                   help="expand ordered tuples (at most 10^6 or DQMAT_BRUTE_BUDGET)")
     p.add_argument("--count-classes", action="store_true",
                    help="include the isomorphism class count")
     p.add_argument("-o", "--output")

@@ -391,24 +391,3 @@ def column_space(field: Field, n: int, mats) -> Subspace:
     """Span in K^n of all columns of the given n x n matrices."""
     return Subspace.span(field, n, [m.entries[j::n] for m in mats for j in range(n)])
 
-
-def subspace_span(field: Field, ambient_dim: int, vectors) -> Subspace:
-    """Canonical echelon basis of the span of the given vectors."""
-    return Subspace.span(field, ambient_dim, vectors)
-
-
-def subspace_relate(a: Subspace, b: Subspace, mode: str):
-    """Dispatch on one relation of two subspaces.
-
-    mode is one of "contains" (a >= b), "equal", "sum", "intersect"; the first
-    two return a bool, the last two a canonical Subspace.
-    """
-    if mode == "contains":
-        return a.contains(b)
-    if mode == "equal":
-        return a == b
-    if mode == "sum":
-        return a.sum(b)
-    if mode == "intersect":
-        return a.intersect(b)
-    raise ValueError(f"unknown mode {mode!r}")

@@ -219,6 +219,16 @@ def partitions_into(n, q, minimum=1):
             yield (first,) + rest
 
 
+def pair_condition_holds(parts):
+    """|n_i - n_j| is 0 or 2 when both parts are even, otherwise 0 or 1."""
+    for i, a in enumerate(parts):
+        for b in parts[i + 1:]:
+            allowed = (0, 2) if a % 2 == 0 and b % 2 == 0 else (0, 1)
+            if abs(a - b) not in allowed:
+                return False
+    return True
+
+
 def multiset_permutation_count(tup):
     counts = {}
     for x in tup:

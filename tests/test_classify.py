@@ -1,6 +1,8 @@
 """Bounds, type enumeration, block recognition, invariants, isomorphism decision."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,8 @@ from dqmat.linalg import Matrix
 from helpers import (
     compositions,
     multiset_permutation_count,
+    pair_condition_holds,
+    partitions_into,
     random_invertible_rows,
     random_upper_invertible_rows,
 )
@@ -120,14 +124,41 @@ def test_count_iso_classes():
 
 
 def test_enumerate_dual_generation_agrees_up_to_16():
-    # enumerate_max_types raises internally if the closed-form family and the
-    # partition filter ever disagree; sweep the whole small range
+    # the closed-form family is exactly the argmax of type_dimension over all
+    # partitions of n into q parts, and each argmax type meets the pairwise
+    # difference condition
     for n in range(2, 17):
         for q in range(2, n + 1):
             enum = enumerate_max_types(n, q)
-            assert sum(enum.ordered_counts) >= 1
+            dims = {p: type_dimension(p) for p in partitions_into(n, q)}
+            best = max(dims.values())
+            argmax = {p for p, d in dims.items() if d == best}
+            assert set(enum.sorted_tuples) == argmax, (n, q)
+            assert len(enum.sorted_tuples) == len(argmax)
+            assert all(pair_condition_holds(p) for p in argmax), (n, q)
+            assert enum.max_dimension == best == max_dim_formula(n, q)
+
+
+def test_enumerate_scales_to_large_n():
+    start = time.perf_counter()
+    enum = enumerate_max_types(1000, 40)
+    classes = count_iso_classes(120, 10)
+    assert time.perf_counter() - start < 0.5
+    assert enum.max_dimension == max_dim_formula(1000, 40)
+    assert all(sum(t) == 1000 and type_dimension(t) == enum.max_dimension
+               for t in enum.sorted_tuples)
+    assert classes == len(admissible_k(12)) ** 10
+
+
+def test_ordered_tuples_are_the_distinct_permutations():
+    for n in range(2, 13):
+        for q in range(2, min(n, 7) + 1):
+            enum = enumerate_max_types(n, q)
+            want = []
             for t in enum.sorted_tuples:
-                assert sum(t) == n and len(t) == q and all(p >= 1 for p in t)
+                want.extend(sorted(set(itertools.permutations(t))))
+            assert enum.ordered_tuples() == want, (n, q)
+            assert len(want) == sum(enum.ordered_counts)
 
 
 def test_recognize_c23():

@@ -121,6 +121,21 @@ def test_cli_enumerate_count_classes(capsys):
     assert doc["ordered_tuples"] == [[3, 3], [2, 4], [4, 2]]
 
 
+def test_cli_enumerate_ordered_budget(capsys, monkeypatch):
+    # 1,787,607 ordered tuples exceed the default budget of 10^6
+    code, doc = run_cli(capsys, "enumerate", "--n", "45", "--q", "15", "--ordered")
+    assert code == 1
+    assert doc["error"]["code"] == "budget-exceeded"
+    monkeypatch.setenv("DQMAT_BRUTE_BUDGET", "2")
+    code, doc = run_cli(capsys, "enumerate", "--n", "6", "--q", "2", "--ordered")
+    assert code == 1
+    assert doc["error"]["code"] == "budget-exceeded"
+    monkeypatch.setenv("DQMAT_BRUTE_BUDGET", "3")
+    code, doc = run_cli(capsys, "enumerate", "--n", "6", "--q", "2", "--ordered")
+    assert code == 0
+    assert len(doc["ordered_tuples"]) == 3
+
+
 def test_cli_analyze_m2_dual_numbers(tmp_path, capsys):
     out = tmp_path / "m2.json"
     code, _ = run_cli(capsys, "construct", "--example", "m2-dual-numbers", "-o", str(out))

@@ -163,20 +163,6 @@ def test_exact_rational_arithmetic():
         assert (a + b) - b == a
 
 
-def test_subspace_relate_dispatch():
-    from dqmat.linalg import subspace_relate, subspace_span
-
-    a = subspace_span(QQ, 3, [(1, 0, 0)])
-    b = subspace_span(QQ, 3, [(1, 0, 0), (0, 1, 0)])
-    assert subspace_relate(a, b, "contains") is False
-    assert subspace_relate(b, a, "contains") is True
-    assert subspace_relate(a, a, "equal") is True
-    assert subspace_relate(a, b, "sum") == b
-    assert subspace_relate(a, b, "intersect") == a
-    with pytest.raises(ValueError):
-        subspace_relate(a, b, "join")
-
-
 def test_scalar_text_forms():
     assert QQ.format(QQ.parse("3/6")) == "1/2"
     assert QQ.format(QQ.parse("-4/2")) == "-2"
