@@ -24,9 +24,10 @@ from .algebra import (
     radical,
     stored,
 )
-from .blocks import BlockType, is_block_upper
+from .blocks import BlockType
 from .constructions import CanonicalBlockId, admissible_k, canonical_commutative
 from .errors import (
+    BudgetExceeded,
     InvalidInput,
     InvalidQ,
     NotBlockTypeMaxDim,
@@ -42,7 +43,6 @@ from .structure import (
     diagonal_block_algebras,
     is_maximal_dq,
     min_dq,
-    strip_structure_matches,
 )
 
 
@@ -144,28 +144,28 @@ class TypeEnumeration:
         return out
 
 
-def enumerate_max_types(n: int, q: int) -> TypeEnumeration:
+def enumerate_max_types(n: int, q: int, budget: int | None = None) -> TypeEnumeration:
     """All nondecreasing block types achieving the maximum D_q dimension in M_n.
 
     The closed-form family of the paper, indexed by a single parameter (s when
     floor(n/q) is even, t when odd) over at most q/2 + 1 values; the work is
-    in proportion to the output, for any n.
+    in proportion to the output, for any n.  With a budget, an output of more
+    than `budget` parts (types times q) raises BudgetExceeded before any type
+    is built.
     """
     if not 2 <= q <= n:
         raise InvalidQ(f"need 2 <= q <= n, got q={q}, n={n}")
     f, r = divmod(n, q)
-    tuples = []
-    params = []
     if f % 2 == 0:
-        for s in range(r // 2 + 1):
-            tuples.append((f,) * (q - r + s) + (f + 1,) * (r - 2 * s) + (f + 2,) * s)
-            params.append(("s", s))
+        name, values = "s", range(r // 2 + 1)
     else:
-        for t in range((q - r) // 2 + 1):
-            if f == 1 and t > 0:
-                break  # parts must stay positive
-            tuples.append((f - 1,) * t + (f,) * (q - r - 2 * t) + (f + 1,) * (r + t))
-            params.append(("t", t))
+        name, values = "t", range(1 if f == 1 else (q - r) // 2 + 1)  # parts stay positive
+    if budget is not None and len(values) * q > budget:
+        raise BudgetExceeded(f"{len(values)} types of {q} parts exceed the budget {budget}")
+    if f % 2 == 0:
+        tuples = [(f,) * (q - r + s) + (f + 1,) * (r - 2 * s) + (f + 2,) * s for s in values]
+    else:
+        tuples = [(f - 1,) * t + (f,) * (q - r - 2 * t) + (f + 1,) * (r + t) for t in values]
 
     best = max_dim_formula(n, q)
     for t in tuples:
@@ -175,7 +175,7 @@ def enumerate_max_types(n: int, q: int) -> TypeEnumeration:
     return TypeEnumeration(
         n=n, q=q, r=r, base=f,
         sorted_tuples=tuple(tuples),
-        parameters=tuple(params),
+        parameters=tuple((name, v) for v in values),
         ordered_counts=tuple(_multiset_permutations(t) for t in tuples),
         max_dimension=best,
     )
@@ -483,26 +483,29 @@ def canonical_block_conjugator(a: MatSubalgebra):
 
 # -- block-type structure and the isomorphism decision -------------------------------
 
+@stored
 def blocktype_structure(a: MatSubalgebra):
-    """(BlockType, diagonal blocks) of a literal block-type algebra with
-    maximum-dimension commutative blocks; raises NotBlockTypeMaxDim otherwise."""
+    """(triangulation, diagonal blocks, block ids) of a maximal D_q algebra whose
+    diagonal blocks have maximum commutative dimension, in any basis.
+
+    Reads the stored maximality triangulation: tri.conjugated is block upper
+    with the blocks on its diagonal.  For an algebra already in block upper
+    form the commutator filtration is the standard flag, so tri.conjugator is
+    the identity.  Raises NotBlockTypeMaxDim otherwise.
+    """
     q = min_dq(a)
     if q is None or q < 2:
         raise NotBlockTypeMaxDim("minimal q is not at least 2")
-    bt = detect_type(a)
-    for m in a.echelon_basis():
-        if not is_block_upper(m, bt):
-            raise NotBlockTypeMaxDim("algebra is not block upper triangular for its type")
-    blocks = diagonal_block_algebras(a, bt)
-    if not strip_structure_matches(a, bt, blocks):
+    maximal, tri, blocks_checked = is_maximal_dq(a, q)
+    if not blocks_checked:
         raise NotBlockTypeMaxDim("diagonal strips are not independent or off-diagonal "
                                  "blocks are not full")
-    for block in blocks:
-        if not is_commutative(block):
-            raise NotBlockTypeMaxDim("a diagonal block is not commutative")
-        if block.dim != schur_bound(block.n):
-            raise NotBlockTypeMaxDim("a diagonal block is not of maximum dimension")
-    return bt, blocks
+    if not maximal:
+        raise NotBlockTypeMaxDim("a diagonal block is not maximal commutative")
+    blocks = diagonal_block_algebras(tri.conjugated, tri.block_type)
+    if any(block.dim != schur_bound(block.n) for block in blocks):
+        raise NotBlockTypeMaxDim("a diagonal block is not of maximum dimension")
+    return tri, blocks, tuple(recognize_block(block) for block in blocks)
 
 
 @dataclass
@@ -517,10 +520,6 @@ class IsoInvariantVector:
     dim_radical_commutator: int
     dim_commutator_radical: int
     dim_commutator_power_radical: int | None
-
-    def aux_dims(self) -> tuple:
-        return (self.dim_radical, self.dim_commutator, self.dim_radical_commutator,
-                self.dim_commutator_radical, self.dim_commutator_power_radical)
 
 
 def iso_invariants(a: MatSubalgebra) -> IsoInvariantVector:
@@ -541,15 +540,10 @@ def iso_invariants(a: MatSubalgebra) -> IsoInvariantVector:
         power_j = product_space(IdealSpace(a, ideal_power(comm, q - 1)), rad).dim
 
     bt = detect_type(a)
-    block_ids = None
-    if q is not None and q >= 2:
-        maximal, tri, _ = is_maximal_dq(a, q)
-        if maximal:
-            blocks = diagonal_block_algebras(tri.conjugated, tri.block_type)
-            try:
-                block_ids = tuple(recognize_block(b).as_tuple() for b in blocks)
-            except NotCanonical:
-                block_ids = None
+    try:
+        block_ids = tuple(i.as_tuple() for i in blocktype_structure(a)[2])
+    except (NotBlockTypeMaxDim, NotCanonical):
+        block_ids = None
     return IsoInvariantVector(
         block_type=tuple(bt.parts) if bt is not None else None,
         block_ids=block_ids,
@@ -600,15 +594,15 @@ class IsomorphismCertificate:
 def is_isomorphic_maxdim(a: MatSubalgebra, b: MatSubalgebra):
     """Isomorphism decision for block-type D_q algebras with max-dim blocks.
 
-    True iff the types agree and the per-block canonical recognitions agree;
-    on a positive verdict a block-diagonal conjugacy certificate is assembled
-    from per-block canonicalizing conjugators.
+    True iff the types agree and the per-block canonical recognitions agree.
+    On a positive verdict the certificate is Z = T_a * diag(Z_i) * T_b^-1:
+    T_a and T_b triangulate a and b, and each Z_i maps a diagonal block of
+    a onto that of b through their common canonical form.  Z^-1 a Z = b is
+    checked before Z is returned.
     """
-    bt_a, blocks_a = blocktype_structure(a)
-    bt_b, blocks_b = blocktype_structure(b)
-    ids_a = [recognize_block(x) for x in blocks_a]
-    ids_b = [recognize_block(x) for x in blocks_b]
-    if bt_a.parts != bt_b.parts or ids_a != ids_b:
+    tri_a, blocks_a, ids_a = blocktype_structure(a)
+    tri_b, blocks_b, ids_b = blocktype_structure(b)
+    if tri_a.block_type.parts != tri_b.block_type.parts or ids_a != ids_b:
         return False, None
     try:
         per_block = []
@@ -616,11 +610,14 @@ def is_isomorphic_maxdim(a: MatSubalgebra, b: MatSubalgebra):
             _, zx = canonical_block_conjugator(x)
             _, zy = canonical_block_conjugator(y)
             per_block.append(zx * matrix_invert(zy))
-        conjugator = build_block_conjugator(bt_a, per_block)
+        conjugator = tri_a.conjugator * build_block_conjugator(tri_a.block_type, per_block) \
+            * matrix_invert(tri_b.conjugator)
         note = None
     except NotCanonical as exc:
         conjugator = None
         note = f"verdict assumes algebraically-closed semantics: {exc}"
+    if conjugator is not None and conjugate_algebra(a, conjugator) != b:
+        raise ResultCheckFailed("certificate does not conjugate the first algebra onto the second")
     cert = IsomorphismCertificate(
         block_ids=tuple(i.as_tuple() for i in ids_a),
         conjugator=conjugator,

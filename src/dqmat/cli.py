@@ -3,8 +3,8 @@
 Results are JSON on stdout.  Exit status 0 on success, 1 on a domain error
 (with a machine-readable error object), 2 on I/O or parse errors.  The
 brute-force budget can be overridden with --budget or the DQMAT_BRUTE_BUDGET
-environment variable; the same budget bounds the tuples `enumerate --ordered`
-expands.
+environment variable; the same budget bounds the parts plain `enumerate`
+writes (types times q) and the tuples `enumerate --ordered` expands.
 """
 
 from __future__ import annotations
@@ -185,7 +185,9 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
-    enum = enumerate_max_types(args.n, args.q)
+    # plain output is bounded in parts, the --ordered expansion in tuples
+    budget = _default_budget()
+    enum = enumerate_max_types(args.n, args.q, budget=None if args.ordered else budget)
     doc = {
         "n": enum.n,
         "q": enum.q,
@@ -197,7 +199,6 @@ def _cmd_enumerate(args) -> dict:
         "ordered_counts": list(enum.ordered_counts),
     }
     if args.ordered:
-        budget = _default_budget()
         if sum(enum.ordered_counts) > budget:
             raise BudgetExceeded(
                 f"{sum(enum.ordered_counts)} ordered tuples exceed the budget {budget}")
@@ -227,6 +228,8 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     a = _load_algebra(args.algebra)
+    if args.q < 1:
+        raise InvalidInput("q must be >= 1")
     q = min_dq(a)
     structural = q is not None and q <= args.q
     doc = {
@@ -266,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("-o", "--output")
 
-    p = sub.add_parser("enumerate", help="maximum-dimension types for (n, q)")
+    p = sub.add_parser("enumerate", help="maximum-dimension types for (n, q); at most 10^6 "
+                                         "or DQMAT_BRUTE_BUDGET parts without --ordered")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--ordered", action="store_true",

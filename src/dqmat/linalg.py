@@ -151,11 +151,6 @@ class Matrix:
             for i in range(self.nrows)
         )
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      tuple(self.entries[j * self.ncols + i]
-                            for i in range(self.ncols) for j in range(self.nrows)))
-
     def trace(self):
         if not self.is_square:
             raise DimensionMismatch("trace of a non-square matrix")

@@ -112,7 +112,3 @@ def load_json_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
-
-def save_json_file(path: str, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(doc))

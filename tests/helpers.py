@@ -80,6 +80,18 @@ def is_zero_mat(m):
     return all(x == 0 for row in m for x in row)
 
 
+def conjugates_onto(a_basis, b_basis, z, p=None):
+    """Whether z^-1 span(a_basis) z = span(b_basis), for basis matrices as nested lists.
+
+    Checked without an inverse: z is invertible and span(a z) = span(z b).
+    """
+    left = [flatten(mat_mul(m, z, p)) for m in a_basis]
+    right = [flatten(mat_mul(z, m, p)) for m in b_basis]
+    rank = rank_oracle(left, p=p)
+    return rank_oracle(z, p=p) == len(z) and \
+        rank == rank_oracle(right, p=p) == rank_oracle(left + right, p=p)
+
+
 def span_basis_oracle(vectors, p=None):
     """A maximal independent subset of the given vectors (greedy, rank-based)."""
     basis = []

@@ -1,6 +1,8 @@
 """JSON interchange and the command-line surface."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +25,8 @@ from dqmat.serialize import (
     dump_json,
     matrix_to_document,
 )
+
+from helpers import conjugates_onto
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +140,19 @@ def test_cli_enumerate_ordered_budget(capsys, monkeypatch):
     assert len(doc["ordered_tuples"]) == 3
 
 
+def test_cli_enumerate_output_budget(capsys, monkeypatch):
+    # (5999, 2000) would write 1000 types of 2000 parts, over the default budget of 10^6
+    monkeypatch.delenv("DQMAT_BRUTE_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, "enumerate", "--n", "5999", "--q", "2000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert doc["error"]["code"] == "budget-exceeded"
+    code, doc = run_cli(capsys, "enumerate", "--n", "4000", "--q", "2000")
+    assert code == 0
+    assert doc["sorted_tuples"] == [[2] * 2000]
+
+
 def test_cli_analyze_m2_dual_numbers(tmp_path, capsys):
     out = tmp_path / "m2.json"
     code, _ = run_cli(capsys, "construct", "--example", "m2-dual-numbers", "-o", str(out))
@@ -158,6 +175,16 @@ def test_cli_verify(tmp_path, capsys):
     code, doc = run_cli(capsys, "verify", str(out), "--q", "1", "--brute-force")
     assert code == 0
     assert doc["structural"] is False and doc["brute_force"] is False
+
+
+@pytest.mark.parametrize("extra", [(), ("--brute-force",)], ids=["structural", "brute-force"])
+def test_cli_verify_rejects_q_below_one(tmp_path, capsys, extra):
+    out = tmp_path / "a.json"
+    run_cli(capsys, "construct", "--type", "1,1", "--blocks", "1,1", "-o", str(out))
+    for q in ("0", "-3"):
+        code, doc = run_cli(capsys, "verify", str(out), "--q", q, *extra)
+        assert code == 1
+        assert doc["error"]["code"] == "invalid-input"
 
 
 def test_cli_verify_budget(tmp_path, capsys, monkeypatch):
@@ -202,6 +229,31 @@ def test_cli_classify(tmp_path, capsys):
     assert doc["isomorphic"] is True
     assert doc["certificate"]["block_ids"] == [[2, 1], [3, 1]]
     assert doc["certificate"]["conjugator"] is not None
+
+
+# lower unitriangular: the conjugate of a block-type algebra by it is not block upper
+HIDING_CONJUGATOR = [[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [0, 3, 1, 0, 0], [1, 0, 1, 1, 0],
+                     [0, 1, 0, 2, 1]]
+
+
+def _rational_grid(grid):
+    return [[Fraction(x) for x in row] for row in grid]
+
+
+def test_cli_classify_conjugated_input(tmp_path, capsys):
+    lit, hid, x = tmp_path / "lit.json", tmp_path / "hid.json", tmp_path / "x.json"
+    run_cli(capsys, "construct", "--type", "2,3", "--blocks", "1,1", "-o", str(lit))
+    x.write_text(json.dumps({"field": {"kind": "rational"}, "matrix": HIDING_CONJUGATOR}))
+    run_cli(capsys, "conjugate", str(lit), "--by", str(x), "-o", str(hid))
+    bases = {path: [_rational_grid(m) for m in json.loads(path.read_text())["basis"]]
+             for path in (lit, hid)}
+    for first, second in ((lit, hid), (hid, hid)):
+        code, doc = run_cli(capsys, "classify", str(first), str(second))
+        assert code == 0
+        assert doc["isomorphic"] is True
+        assert doc["certificate"]["block_ids"] == [[2, 1], [3, 1]]
+        z = _rational_grid(doc["certificate"]["conjugator"])
+        assert conjugates_onto(bases[first], bases[second], z)
 
 
 def test_cli_classify_domain_error(tmp_path, capsys):

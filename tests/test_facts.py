@@ -1,7 +1,9 @@
 """Each structural fact is computed once per algebra and read back by every caller.
 
 The golden files under tests/golden hold `dqmat analyze` stdout recorded
-before the fact store existed; reading facts back must not change a byte.
+before the fact store existed, and `dqmat classify` stdout recorded before
+classify read its block structure from the stored triangulation; reading
+facts back must not change a byte.
 """
 
 import contextlib
@@ -15,12 +17,14 @@ from dqmat.algebra import (
     IdealSpace,
     MatSubalgebra,
     commutator_ideal,
+    conjugate_algebra,
     ideal_power,
     nilpotency_index,
     radical,
 )
+from dqmat.blocks import BlockType
 from dqmat.cli import main
-from dqmat.constructions import max_dim_example
+from dqmat.constructions import block_type_algebra, canonical_commutative, max_dim_example
 from dqmat.errors import NotAnIdeal
 from dqmat.fields import GF, QQ
 from dqmat.linalg import Matrix, Subspace
@@ -76,6 +80,24 @@ def test_max_dim_analyze_work_counts(tmp_path, monkeypatch):
 def test_m2_dual_numbers_analyze_matches_golden():
     stdout = analyze_stdout(ROOT / "data" / "m2_dual_numbers.json")
     assert stdout == (GOLDEN / "analyze_m2_dual_numbers.json").read_text()
+
+
+def test_literal_classify_matches_golden(tmp_path):
+    # two literal (2, 3) algebras whose blocks C^2_2 and C^4_3 are conjugated
+    # inside their own M_2 and M_3, so the certificate is not the identity
+    paths = []
+    for name, x2, x3 in (("a", [[1, 1], [0, 2]], [[1, 0, 2], [0, 1, 1], [0, 0, 1]]),
+                         ("b", [[2, 0], [1, 1]], [[1, 0, 0], [3, 1, 0], [1, -1, 2]])):
+        blocks = [conjugate_algebra(canonical_commutative(QQ, (2, 2)), Matrix.from_rows(QQ, x2)),
+                  conjugate_algebra(canonical_commutative(QQ, (3, 4)), Matrix.from_rows(QQ, x3))]
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_json(algebra_to_document(
+            block_type_algebra(BlockType((2, 3)), blocks))))
+        paths.append(str(path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["classify"] + paths) == 0
+    assert out.getvalue() == (GOLDEN / "classify_q_pair.json").read_text()
 
 
 def test_facts_are_read_back():
