@@ -50,30 +50,34 @@ class MatSubalgebra:
     is the canonical echelon form used for every equality and membership test.
     """
 
-    __slots__ = ("field", "n", "space", "unital", "basis", "facts")
+    __slots__ = ("field", "n", "space", "basis", "facts")
 
-    def __init__(self, field: Field, n: int, space: Subspace, unital: bool,
-                 basis: tuple | None = None):
+    def __init__(self, field: Field, n: int, space: Subspace, basis: tuple | None = None):
         if space.ambient_dim != n * n:
             raise DimensionMismatch(f"subspace of K^{space.ambient_dim} is not in M_{n}")
         self.field = field
         self.n = n
         self.space = space
-        self.unital = unital
         self.facts = {}
         self.basis = self.echelon_basis() if basis is None else basis
 
     @classmethod
     def from_matrices(cls, field: Field, n: int, mats, *, check: bool = True) -> "MatSubalgebra":
-        """Wrap an already multiplicatively closed span; verifies closure by default."""
+        """Wrap an already multiplicatively closed span containing the identity.
+
+        With check (the default) a span without the identity is InvalidInput and
+        one that is not closed under products is ClosureViolation.
+        """
         mats = tuple(mats)
         for m in mats:
             if m.nrows != n or m.ncols != n or m.field != field:
                 raise DimensionMismatch("generator of wrong shape or field")
         space = Subspace.span(field, n * n, [m.entries for m in mats])
-        alg = cls(field, n, space, unital=space.contains_vector(Matrix.identity(field, n).entries),
-                  basis=mats if mats else None)
+        alg = cls(field, n, space, basis=mats if mats else None)
         if check:
+            if not space.contains_vector(Matrix.identity(field, n).entries):
+                raise InvalidInput("the span does not contain the identity matrix; "
+                                   "add it to the basis")
             defect = alg.closure_defect()
             if defect is not None:
                 i, j = defect
@@ -173,7 +177,7 @@ def unital_closure(field: Field, n: int, generators) -> MatSubalgebra:
         if bigger.dim == space.dim:
             break
         space = bigger
-    return MatSubalgebra(field, n, space, unital=True)
+    return MatSubalgebra(field, n, space)
 
 
 def product_space(a, b) -> Subspace:
@@ -302,7 +306,6 @@ def centralizer(a: MatSubalgebra) -> MatSubalgebra:
     f, n = a.field, a.n
     zero = f.zero
     rows = []
-    seen = set()
     for b in a.echelon_basis():
         for i in range(n):
             for j in range(n):
@@ -311,14 +314,12 @@ def centralizer(a: MatSubalgebra) -> MatSubalgebra:
                 for k in range(n):
                     row[i * n + k] = f.add(row[i * n + k], b[k, j])
                     row[k * n + j] = f.sub(row[k * n + j], b[i, k])
-                t = tuple(row)
-                if t not in seen and any(x != zero for x in t):
-                    seen.add(t)
+                if any(row):
                     rows.append(row)
     vectors = nullspace(f, rows, n * n) if rows else \
         [v for v in Subspace.full(f, n * n).rows]
     space = Subspace.span(f, n * n, vectors)
-    return MatSubalgebra(f, n, space, unital=True)
+    return MatSubalgebra(f, n, space)
 
 
 def conjugate_algebra(a: MatSubalgebra, x: Matrix) -> MatSubalgebra:
@@ -330,7 +331,7 @@ def conjugate_algebra(a: MatSubalgebra, x: Matrix) -> MatSubalgebra:
     space = Subspace.span(a.field, a.n ** 2, [m.entries for m in conj_basis])
     if space.dim != a.dim:
         raise ResultCheckFailed("conjugation changed the dimension of the algebra")
-    return MatSubalgebra(a.field, a.n, space, unital=a.unital, basis=conj_basis)
+    return MatSubalgebra(a.field, a.n, space, basis=conj_basis)
 
 
 def conjugate_ideal(ideal: IdealSpace, x: Matrix, new_parent: MatSubalgebra) -> IdealSpace:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InvalidInput
 from .fields import Field
@@ -11,7 +12,7 @@ from .linalg import Matrix
 
 @dataclass(frozen=True)
 class BlockType:
-    """The tuple (n_1, ..., n_q) of diagonal block sizes, with partial sums N_i."""
+    """The tuple (n_1, ..., n_q) of diagonal block sizes."""
 
     parts: tuple
 
@@ -29,25 +30,9 @@ class BlockType:
         return sum(self.parts)
 
     @property
-    def partial_sums(self) -> tuple:
-        sums = []
-        total = 0
-        for p in self.parts:
-            total += p
-            sums.append(total)
-        return tuple(sums)
-
-    @property
     def offsets(self) -> tuple:
-        """(0, N_1, ..., N_q): start index of each block plus the final n."""
-        return (0,) + self.partial_sums
-
-    def block_of(self, index: int) -> int:
-        """Block number (0-based) containing a given row/column index."""
-        for b, end in enumerate(self.partial_sums):
-            if index < end:
-                return b
-        raise InvalidInput(f"index {index} outside 0..{self.n - 1}")
+        """(0, n_1, n_1 + n_2, ..., n): start index of each block plus the final n."""
+        return (0,) + tuple(accumulate(self.parts))
 
     def __iter__(self):
         return iter(self.parts)
@@ -80,11 +65,10 @@ def is_block_upper(m: Matrix, bt: BlockType) -> bool:
     """True when every entry strictly below the block diagonal vanishes."""
     zero = m.field.zero
     n = bt.n
-    for i in range(n):
-        bi = bt.block_of(i)
-        row_start = i * n
-        for j in range(bt.offsets[bi]):
-            if m.entries[row_start + j] != zero:
+    offs = bt.offsets
+    for b in range(bt.q):
+        for i in range(offs[b], offs[b + 1]):
+            if any(x != zero for x in m.entries[i * n:i * n + offs[b]]):
                 return False
     return True
 

@@ -395,7 +395,7 @@ def _restrict_to_invariant(a: MatSubalgebra, sub: Subspace) -> MatSubalgebra:
             cols.append([image[pc] for pc in sub.pivots])
         mats.append(Matrix(f, k, k, tuple(cols[j][i] for i in range(k) for j in range(k))))
     space = Subspace.span(f, k * k, [m.entries for m in mats])
-    return MatSubalgebra(f, k, space, unital=True)
+    return MatSubalgebra(f, k, space)
 
 
 def _atomic_decomposition(a: MatSubalgebra, ambient_basis: list) -> list:
@@ -496,7 +496,7 @@ def blocktype_structure(a: MatSubalgebra):
     q = min_dq(a)
     if q is None or q < 2:
         raise NotBlockTypeMaxDim("minimal q is not at least 2")
-    maximal, tri, blocks_checked = is_maximal_dq(a, q)
+    maximal, tri, blocks_checked = is_maximal_dq(a)
     if not blocks_checked:
         raise NotBlockTypeMaxDim("diagonal strips are not independent or off-diagonal "
                                  "blocks are not full")

@@ -144,7 +144,7 @@ def _cmd_analyze(args) -> dict:
     if q == 1:
         block_type = [a.n]
     elif q is not None:
-        maximal, witness, _ = is_maximal_dq(a, q)
+        maximal, witness, _ = is_maximal_dq(a)
         block_type = list(witness.block_type.parts)
         conjugator = matrix_to_grid(witness.conjugator)
         if not maximal:

@@ -284,17 +284,12 @@ class Subspace:
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
-        zero = field.zero
-        seen = set()
         work = []
         for v in vectors:
-            t = tuple(v)
-            if len(t) != ambient_dim:
-                raise DimensionMismatch(f"vector of length {len(t)} in K^{ambient_dim}")
-            if t in seen or all(x == zero for x in t):
-                continue
-            seen.add(t)
-            work.append(list(t))
+            if len(v) != ambient_dim:
+                raise DimensionMismatch(f"vector of length {len(v)} in K^{ambient_dim}")
+            if any(v):
+                work.append(list(v))
         pivots = rref_in_place(field, work)
         return cls(field, ambient_dim, tuple(tuple(r) for r in work), tuple(pivots))
 

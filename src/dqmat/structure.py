@@ -28,7 +28,7 @@ from .algebra import (
     square_matrices,
     stored,
 )
-from .blocks import BlockType, diagonal_blocks_vanish, embed_block, is_block_upper, submatrix
+from .blocks import BlockType, diagonal_blocks_vanish, is_block_upper, submatrix
 from .errors import (
     BudgetExceeded,
     InvalidInput,
@@ -104,10 +104,10 @@ def block_triangulate(a: MatSubalgebra, ideal: IdealSpace) -> TriangulationResul
     """Conjugate a into block upper triangular form along a nilpotent ideal.
 
     The block sizes are the dimension jumps of the filtration I^(q-i)V; the
-    adapted basis is extended deterministically, drawing candidates first from
-    the echelon basis of each filtration space and then from the standard
-    basis vectors in index order.  The result is a fact of the ideal when a is
-    its parent; an ideal of another parent is first checked in full against a.
+    adapted basis is extended deterministically from the echelon basis of each
+    filtration space, which spans it and hence extends the smaller spaces
+    before it.  The result is a fact of the ideal when a is its parent; an
+    ideal of another parent is first checked in full against a.
     """
     if ideal.space.ambient_dim != a.n ** 2 or ideal.parent.field != a.field:
         raise NotAnIdeal("ideal lives in a different matrix algebra")
@@ -137,13 +137,12 @@ def _triangulation(ideal: IdealSpace) -> TriangulationResult:
 
     chosen = []
     chosen_space = Subspace.zero_space(field, n)
-    std = [tuple(field.one if k == i else field.zero for k in range(n)) for i in range(n)]
     for space in filtration:
-        for candidate in list(space.rows) + std:
+        for row in space.rows:
             if chosen_space.dim == space.dim:
                 break
-            if space.contains_vector(candidate) and not chosen_space.contains_vector(candidate):
-                chosen.append(candidate)
+            if not chosen_space.contains_vector(row):
+                chosen.append(row)
                 chosen_space = Subspace.span(field, n, chosen)
         if chosen_space.dim != space.dim:
             raise ResultCheckFailed("adapted basis does not fill the filtration")
@@ -174,79 +173,48 @@ def detect_type(a: MatSubalgebra):
     return block_triangulate(a, commutator_ideal(a)).block_type
 
 
-def diagonal_block_algebras(conj: MatSubalgebra, bt: BlockType) -> list:
+@stored
+def diagonal_block_algebras(conj: MatSubalgebra, bt: BlockType) -> tuple:
     """The algebras of diagonal blocks of a block upper triangular algebra.
 
     Projection onto a diagonal block is an algebra homomorphism on block
     triangular matrices, so each image is a unital subalgebra of M_{n_i}.
     """
-    return list(_diagonal_blocks(conj, bt))
-
-
-@stored
-def _diagonal_blocks(conj: MatSubalgebra, bt: BlockType) -> tuple:
     out = []
     for i in range(bt.q):
         mats = [submatrix(m, bt, i, i) for m in conj.echelon_basis()]
         space = Subspace.span(conj.field, bt.parts[i] ** 2, [m.entries for m in mats])
-        out.append(MatSubalgebra(conj.field, bt.parts[i], space, unital=True))
+        out.append(MatSubalgebra(conj.field, bt.parts[i], space))
     return tuple(out)
 
 
-def strip_structure_matches(conj: MatSubalgebra, bt: BlockType, blocks: list) -> bool:
-    """Whether conj equals the block-type algebra over its own diagonal blocks.
+@stored
+def is_maximal_dq(a: MatSubalgebra):
+    """Decide whether a is maximal D_q for q = min_dq(a) among subalgebras of M_n(K).
 
-    The containment conj <= (strips + full off-diagonal blocks) always holds,
-    so equality amounts to the dimension count plus explicit strip membership.
-    """
-    field = conj.field
-    expected = sum(b.dim for b in blocks)
-    for i in range(bt.q):
-        for j in range(i + 1, bt.q):
-            expected += bt.parts[i] * bt.parts[j]
-    if conj.dim != expected:
-        return False
-    for i, block in enumerate(blocks):
-        for m in block.echelon_basis():
-            if not conj.contains(embed_block(field, bt, i, i, m)):
-                return False
-    for i in range(bt.q):
-        for j in range(i + 1, bt.q):
-            for r in range(bt.parts[i]):
-                for c in range(bt.parts[j]):
-                    unit = Matrix.unit(field, bt.n, bt.offsets[i] + r, bt.offsets[j] + c)
-                    if not conj.contains(unit):
-                        return False
-    return True
+    A maximal D_q algebra is conjugate to a block triangular T(B_1, ..., B_q)
+    with maximal commutative diagonal blocks.  The algebra triangulated along
+    its commutator ideal lies in the block-type algebra over its own diagonal
+    blocks B_i, so it equals that algebra exactly when its dimension is
+    sum dim B_i + sum_{i<j} n_i n_j; the verdict is True when that count holds
+    and every B_i is commutative and equal to its own centralizer.  Returns
+    (verdict, triangulation witness, blocks_checked); blocks_checked is False
+    when the count already failed, so the per-block checks never ran.
 
-
-def is_maximal_dq(a: MatSubalgebra, q=None):
-    """Decide maximality among D_q subalgebras of M_n(K).
-
-    Triangulates along the commutator ideal and answers True exactly when the
-    conjugated algebra is the full block-type algebra over its diagonal blocks
-    and every diagonal block is maximal commutative (equal to its own
-    centralizer).  Returns (verdict, triangulation witness, blocks_checked);
-    blocks_checked is False when the strip-structure test already failed, so
-    the per-block maximal-commutativity checks never ran.
-
+    No larger q is offered: a maximal D_2 algebra may lie in a bigger D_3 one.
     An algebra satisfying no q-fold identity at all is not a D_q subalgebra,
     hence not a maximal one: the answer is (False, None, False).
     """
-    if q is None:
-        q = min_dq(a)
+    q = min_dq(a)
     if q is None:
         return False, None, False
     if q < 2:
         raise InvalidInput("maximality test needs a noncommutative algebra (q >= 2)")
-    return _maximality(a)
-
-
-@stored
-def _maximality(a: MatSubalgebra):
     tri = block_triangulate(a, commutator_ideal(a))
-    blocks = diagonal_block_algebras(tri.conjugated, tri.block_type)
-    if not strip_structure_matches(tri.conjugated, tri.block_type, blocks):
+    bt = tri.block_type
+    blocks = diagonal_block_algebras(tri.conjugated, bt)
+    off_diagonal = (bt.n ** 2 - sum(p * p for p in bt.parts)) // 2  # sum_{i<j} n_i n_j
+    if tri.conjugated.dim != sum(b.dim for b in blocks) + off_diagonal:
         return False, tri, False
     for block in blocks:
         if not is_commutative(block) or centralizer(block) != block:

@@ -73,7 +73,7 @@ def test_closure_check_rejects_open_span():
 def test_wrong_shape_space_is_rejected():
     # K^4 holds M_2, not M_3; the check must survive python -O
     with pytest.raises(DimensionMismatch):
-        MatSubalgebra(QQ, 3, Subspace.full(QQ, 4), unital=True)
+        MatSubalgebra(QQ, 3, Subspace.full(QQ, 4))
 
 
 def test_product_space_square_zero():

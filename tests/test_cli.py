@@ -25,6 +25,7 @@ from dqmat.serialize import (
     dump_json,
     matrix_to_document,
 )
+from dqmat.structure import detect_type, is_maximal_dq, min_dq
 
 from helpers import conjugates_onto
 
@@ -272,6 +273,33 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert doc["error"]["code"] == "parse-error"
     code, doc = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_cli_non_unital_document_is_parse_error(tmp_path, capsys):
+    # span{e12} is closed under products but lacks the identity
+    path = tmp_path / "e12.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"}, "n": 2,
+                                "basis": [[["0", "1"], ["0", "0"]]]}))
+    code, doc = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert doc["error"]["code"] == "parse-error"
+    assert "identity" in doc["error"]["message"]
+
+
+def test_cli_analyze_non_split_block(tmp_path, capsys):
+    # A = T(F, Q) with F = {[[a, 2b], [b, a]]} = Q(sqrt 2), which splits over no
+    # conjugation.  A's only invariant subspaces are 0 < span(e1, e2) < Q^3, so
+    # every D_q algebra containing A is D_2 and equals A: A is maximal.
+    f = MatSubalgebra.from_matrices(
+        QQ, 2, [Matrix.identity(QQ, 2), Matrix.from_rows(QQ, [[0, 2], [1, 0]])])
+    a = block_type_algebra(BlockType((2, 1)), [f, canonical_commutative(QQ, (1, 1))])
+    assert (a.dim, min_dq(a), detect_type(a)) == (5, 2, BlockType((2, 1)))
+    assert is_maximal_dq(a)[0] is True
+    path = tmp_path / "tfq.json"
+    path.write_text(dump_json(algebra_to_document(a)))
+    code, report = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert (report["min_q"], report["type"], report["maximal"]) == (2, [2, 1], True)
 
 
 VERIFY_DOC = ("verify", "{doc}", "--q", "2", "--brute-force")

@@ -105,7 +105,7 @@ def test_facts_are_read_back():
     c = commutator_ideal(a)
     assert commutator_ideal(a) is c
     assert radical(a) is radical(a)
-    assert is_maximal_dq(a)[1] is is_maximal_dq(a, 2)[1]
+    assert is_maximal_dq(a)[1] is is_maximal_dq(a)[1]
     assert detect_type(a) is is_maximal_dq(a)[1].block_type
     assert min_dq(a) == nilpotency_index(c) == 2
     assert ideal_power(c, 2).is_zero() and ideal_power(c, 7).is_zero()

@@ -207,10 +207,17 @@ def test_is_maximal_invariant_under_conjugation():
     scalars3 = MatSubalgebra.from_matrices(field, 3, [Matrix.identity(field, 3)])
     not_maximal = block_type_algebra(BlockType((2, 3)),
                                      [canonical_commutative(field, (2, 1)), scalars3])
+    # diagonal + K*E_13: type (1, 4) with maximal commutative blocks K and the
+    # diagonal of M_4, but dim 6 < 1 + 4 + 1*4, so only the dimension count fails
+    thin = MatSubalgebra.from_matrices(
+        field, 5, [Matrix.unit(field, 5, i, i) for i in range(5)] + [Matrix.unit(field, 5, 0, 2)])
     for _ in range(3):
         x = Matrix.from_rows(field, random_invertible_rows(rng, 5, 101))
         assert is_maximal_dq(conjugate_algebra(maximal, x))[0] is True
         assert is_maximal_dq(conjugate_algebra(not_maximal, x))[0] is False
+        verdict, witness, blocks_checked = is_maximal_dq(conjugate_algebra(thin, x))
+        assert (verdict, blocks_checked) == (False, False)
+        assert witness.block_type == BlockType((1, 4))
 
 
 def test_min_dq_at_most_n():
